@@ -76,8 +76,9 @@ pub enum Request {
     Attach { job: u64, from_seq: u64 },
     /// Ask a running job to stop at the next step boundary.
     Cancel { job: u64 },
-    /// Re-enqueue a cancelled/failed job from its latest in-memory
-    /// checkpoint.
+    /// Re-enqueue a cancelled/failed/degraded job from the in-memory
+    /// checkpoint taken at its last cancel or deadline stop, or from its
+    /// spec if it has none (e.g. a job whose worker panicked).
     Resume { job: u64 },
     /// List all jobs the daemon knows about.
     Jobs,
@@ -147,7 +148,7 @@ pub enum Event {
     /// capacity. No job was created; retry after `retry_after_ms`.
     Rejected { retry_after_ms: u64 },
     /// The job honoured a [`Request::Cancel`] (a checkpoint for
-    /// [`Request::Resume`] is kept in memory when stage 1 supports it).
+    /// [`Request::Resume`] is taken at the stop when stage 1 supports it).
     Cancelled { job: u64, seq: u64 },
     /// Answer to [`Request::Attach`]: `replayed` buffered events follow
     /// immediately, then live ones.

@@ -63,7 +63,10 @@ pub struct JobState {
     next_seq: u64,
     /// Live event streams; pruned when a send fails (client gone).
     subscribers: Vec<mpsc::Sender<Event>>,
-    /// Latest resume point captured after each completed step.
+    /// Resume point taken at the job's last cancel or deadline stop.
+    /// `None` before any such stop, after a stop whose stage-1 agent
+    /// cannot save its state, and once the job is [`JobStatus::Done`];
+    /// a resume without one restarts the job from its spec.
     pub checkpoint: Option<SearchCheckpoint>,
     /// Final summary, once [`JobStatus::Done`].
     pub outcome: Option<SearchOutcome>,

@@ -114,16 +114,18 @@ impl Inner {
         Ok(Submission::Accepted(id))
     }
 
-    /// Re-enqueues a cancelled/failed/degraded job to continue from its
-    /// latest in-memory checkpoint. Resumes bypass admission control: the
-    /// job was already admitted once and still holds its slot in the
-    /// registry.
+    /// Re-enqueues a cancelled/failed/degraded job to continue from the
+    /// checkpoint taken at its last cancel or deadline stop, or from its
+    /// spec when it has none (a panicked first run, or a stage-1 agent
+    /// without state saving). Either way the result is bit-identical to
+    /// an uninterrupted run. Resumes bypass admission control: the job
+    /// was already admitted once and still holds its slot in the registry.
     fn resume(&self, id: u64) -> Result<(), String> {
         let accepted = self.registry.with_job(id, |state| {
             let resumable = matches!(
                 state.status,
                 JobStatus::Cancelled | JobStatus::Failed | JobStatus::Degraded
-            ) && state.checkpoint.is_some();
+            );
             if resumable {
                 state.status = JobStatus::Queued;
             }
@@ -132,7 +134,7 @@ impl Inner {
         match accepted {
             None => Err(format!("unknown job {id}")),
             Some(false) => Err(format!(
-                "job {id} is not resumable (must be cancelled/failed/degraded with a checkpoint)"
+                "job {id} is not resumable (must be cancelled/failed/degraded)"
             )),
             Some(true) => {
                 if let Some(flag) = self.registry.cancel_flag(id) {
@@ -348,11 +350,19 @@ fn fail_job(inner: &Inner, id: u64, error: String) {
     });
 }
 
-/// Records a job's terminal status and outcome in the registry.
-fn settle(inner: &Inner, id: u64, status: JobStatus, outcome: &SearchOutcome) {
+/// Records a job's terminal status, outcome and resume point in the
+/// registry. `checkpoint` replaces whatever the job held before.
+fn settle(
+    inner: &Inner,
+    id: u64,
+    status: JobStatus,
+    outcome: &SearchOutcome,
+    checkpoint: Option<SearchCheckpoint>,
+) {
     inner.registry.with_job(id, |state| {
         state.status = status;
         state.outcome = Some(outcome.clone());
+        state.checkpoint = checkpoint;
     });
 }
 
@@ -403,10 +413,12 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
 /// through the same best-so-far path ([`TwoStageRunner::partial_result`]):
 /// the difference between a deadline, a cancel, and a shutdown is only
 /// the terminal status and event, never the quality of the answer.
+///
+/// The runner is checkpointed only where the job can later be resumed:
+/// once at a cancel or deadline stop, both of which land on a step
+/// boundary. A shutdown stop saves nothing (the in-memory registry dies
+/// with the process), and a finished job drops its checkpoint.
 fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<SearchCheckpoint>) {
-    let Some(job) = inner.registry.job(id) else {
-        return;
-    };
     let problem = match build_problem(inner, spec) {
         Ok(p) => p,
         Err(e) => return fail_job(inner, id, e.to_string()),
@@ -431,13 +443,21 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
 
     loop {
         if cancel.load(Ordering::Relaxed) || inner.shutdown.load(Ordering::Relaxed) {
-            let reason = if cancel.load(Ordering::Relaxed) {
+            let cancelled = cancel.load(Ordering::Relaxed);
+            let reason = if cancelled {
                 "cancelled"
             } else {
                 "daemon shutdown"
             };
             let outcome = runner.partial_result().outcome().into_degraded(reason);
-            settle(inner, id, JobStatus::Cancelled, &outcome);
+            // Stage-1 agents without state saving yield no checkpoint;
+            // resuming such a job restarts it from its spec.
+            let checkpoint = if cancelled {
+                runner.checkpoint().ok()
+            } else {
+                None
+            };
+            settle(inner, id, JobStatus::Cancelled, &outcome, checkpoint);
             inner
                 .registry
                 .publish(id, |seq| Event::Cancelled { job: id, seq });
@@ -449,7 +469,13 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
                 .partial_result()
                 .outcome()
                 .into_degraded(reason.clone());
-            settle(inner, id, JobStatus::Degraded, &outcome);
+            settle(
+                inner,
+                id,
+                JobStatus::Degraded,
+                &outcome,
+                runner.checkpoint().ok(),
+            );
             inner.registry.publish(id, |seq| Event::Degraded {
                 job: id,
                 seq,
@@ -461,11 +487,6 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         inner.faults.maybe_panic_worker(step);
         let more = runner.step();
         step += 1;
-        // Keep the freshest resume point in memory; stage-1 agents without
-        // state saving (and finished runs) simply don't refresh it.
-        if let Ok(checkpoint) = runner.checkpoint() {
-            lock_recovering(&job).checkpoint = Some(checkpoint);
-        }
         let stats = problem.eval_stats().since(stats_base);
         inner.registry.publish(id, |seq| Event::Progress {
             job: id,
@@ -484,7 +505,7 @@ fn drive_job(inner: &Arc<Inner>, id: u64, spec: &JobSpec, resume_from: Option<Se
         .result()
         .expect("step() returned false, so the runner is done")
         .outcome();
-    settle(inner, id, JobStatus::Done, &outcome);
+    settle(inner, id, JobStatus::Done, &outcome, None);
     inner.registry.publish(id, |seq| Event::Done {
         job: id,
         seq,
@@ -664,4 +685,82 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use confuciux::JobBudget;
+
+    fn spec(global_epochs: usize, seed: u64) -> JobSpec {
+        let mut spec = JobSpec::paper_default("tiny_cnn");
+        spec.budget = JobBudget {
+            global_epochs,
+            fine_evaluations: 150,
+        };
+        spec.seed = seed;
+        spec
+    }
+
+    /// Reads `events` until one matches `stop`, failing on a `Failed`.
+    fn wait_for(events: &mpsc::Receiver<Event>, stop: impl Fn(&Event) -> bool) {
+        loop {
+            let event = events
+                .recv_timeout(Duration::from_secs(120))
+                .expect("job event");
+            if let Event::Failed { error, .. } = &event {
+                panic!("job failed: {error}");
+            }
+            if stop(&event) {
+                return;
+            }
+        }
+    }
+
+    fn submit(inner: &Inner, spec: JobSpec) -> (u64, mpsc::Receiver<Event>) {
+        let Ok(Submission::Accepted(id)) = inner.submit(spec) else {
+            panic!("submit was not accepted");
+        };
+        let (tx, rx) = mpsc::channel();
+        inner.registry.attach(id, 0, tx);
+        (id, rx)
+    }
+
+    fn has_checkpoint(inner: &Inner, id: u64) -> bool {
+        inner
+            .registry
+            .with_job(id, |state| state.checkpoint.is_some())
+            .unwrap()
+    }
+
+    #[test]
+    fn finished_jobs_keep_no_checkpoint_and_cannot_resume() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let inner = &server.inner;
+
+        // A job that runs straight through never holds a checkpoint.
+        let (straight, events) = submit(inner, spec(30, 3));
+        wait_for(&events, |e| matches!(e, Event::Done { .. }));
+        assert!(!has_checkpoint(inner, straight));
+
+        // A cancelled job holds the checkpoint taken at its stop...
+        let (resumed, events) = submit(inner, spec(60, 4));
+        wait_for(&events, |e| matches!(e, Event::Progress { .. }));
+        assert!(inner.registry.cancel(resumed));
+        wait_for(&events, |e| matches!(e, Event::Cancelled { .. }));
+        assert!(has_checkpoint(inner, resumed));
+        // ...and drops it once the resumed run reaches `Done`.
+        inner.resume(resumed).unwrap();
+        wait_for(&events, |e| matches!(e, Event::Done { .. }));
+        assert!(!has_checkpoint(inner, resumed));
+
+        for id in [straight, resumed] {
+            let error = inner.resume(id).unwrap_err();
+            assert!(error.contains("not resumable"), "{error}");
+        }
+        server.finish();
+    }
 }

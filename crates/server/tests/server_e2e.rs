@@ -1,7 +1,7 @@
 //! End-to-end daemon tests over real TCP sockets: warm-cache sharing
 //! between sequential jobs, reconnect-with-catchup after a killed client,
-//! cancel/resume from the in-memory checkpoint, and the cache-sidecar
-//! lifecycle across two daemon generations.
+//! resume after a cancel, a deadline stop or a worker panic, and the
+//! cache-sidecar lifecycle across two daemon generations.
 
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -326,6 +326,135 @@ fn worker_panic_fails_job_but_daemon_survives() {
     // connection stays usable and a fresh job runs to completion.
     let (_, outcome, _) = submit_and_finish(addr, small_spec(3));
     assert!(outcome.best_cost().is_some());
+
+    shut_down(addr);
+    serve.join().unwrap();
+}
+
+#[test]
+fn panicked_job_resumes_from_its_spec_bit_identically() {
+    let (serve, addr) = start_server(ServerConfig {
+        workers: 1,
+        sidecar_dir: None,
+        flush_secs: 3600,
+        faults: FaultPlan::parse("panic_worker@step=2;seed=9").unwrap(),
+        ..ServerConfig::default()
+    });
+    let spec = small_spec(17);
+    let expected = spec
+        .clone()
+        .into_runner()
+        .unwrap()
+        .into_result()
+        .outcome()
+        .digest();
+
+    let mut stream = connect(addr);
+    write_frame(&mut stream, &Request::Submit { spec }).unwrap();
+    let job = match next_event(&mut stream) {
+        Event::Submitted { job } => job,
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    loop {
+        match next_event(&mut stream) {
+            Event::Failed { .. } => break,
+            Event::Done { .. } => panic!("job should have hit the injected panic"),
+            _ => {}
+        }
+    }
+
+    // The panic left no checkpoint behind, so the resume restarts the job
+    // from its spec; the injected panic is one-shot and does not recur.
+    write_frame(&mut stream, &Request::Resume { job }).unwrap();
+    let outcome = loop {
+        match next_event(&mut stream) {
+            Event::Done { outcome, .. } => break outcome,
+            Event::Failed { error, .. } => panic!("resumed job failed: {error}"),
+            Event::Error { message } => panic!("resume refused: {message}"),
+            _ => {}
+        }
+    };
+    assert_eq!(
+        outcome.digest(),
+        expected,
+        "panic + resume must not change the result"
+    );
+
+    shut_down(addr);
+    serve.join().unwrap();
+}
+
+#[test]
+fn deadline_stopped_job_resumes_to_the_uninterrupted_result() {
+    let (serve, addr) = start_server(ServerConfig {
+        workers: 1,
+        sidecar_dir: None,
+        flush_secs: 3600,
+        ..ServerConfig::default()
+    });
+    // The deadline cannot be lifted on resume, so every run of the job
+    // gets the same short window and the job advances a few steps per run.
+    // 10ms is short enough that even a release build stops this 100-epoch
+    // job several times.
+    let mut spec = small_spec(29);
+    spec.budget.global_epochs = 100;
+    spec.deadline_ms = Some(10);
+    let mut runner = spec.clone().into_runner().unwrap();
+    let mut steps = 1;
+    while runner.step() {
+        steps += 1;
+    }
+    let expected = runner.result().unwrap().outcome().digest();
+
+    let mut stream = connect(addr);
+    write_frame(&mut stream, &Request::Submit { spec }).unwrap();
+    let job = match next_event(&mut stream) {
+        Event::Submitted { job } => job,
+        other => panic!("expected Submitted, got {other:?}"),
+    };
+    // The connection stays subscribed from the submit and is attached
+    // again by every resume, so it sees each later event more than once;
+    // only the first copy of each seq counts.
+    let mut next_seq = 0;
+    let mut progress_events = 0;
+    let mut stops = 0;
+    let outcome = loop {
+        let event = next_event(&mut stream);
+        if let Some((_, seq)) = event.job_seq() {
+            if seq < next_seq {
+                continue;
+            }
+            next_seq = seq + 1;
+        }
+        match event {
+            Event::Progress { .. } => {
+                progress_events += 1;
+                assert!(progress_events <= steps, "steps were repeated");
+            }
+            Event::Degraded { .. } => {
+                stops += 1;
+                assert!(stops <= 10 * steps, "job never finished");
+                write_frame(&mut stream, &Request::Resume { job }).unwrap();
+            }
+            Event::Done { outcome, .. } => break outcome,
+            Event::Failed { error, .. } => panic!("job failed: {error}"),
+            Event::Error { message } => panic!("resume refused: {message}"),
+            _ => {}
+        }
+    };
+    assert!(
+        stops > 0,
+        "the job must have hit its deadline at least once"
+    );
+    // Each resumed run continues from the checkpoint taken at the previous
+    // deadline stop, so across all runs every step ran exactly once.
+    assert_eq!(progress_events, steps, "steps were skipped");
+    assert!(!outcome.is_degraded());
+    assert_eq!(
+        outcome.digest(),
+        expected,
+        "deadline stops + resumes must not change the result"
+    );
 
     shut_down(addr);
     serve.join().unwrap();
