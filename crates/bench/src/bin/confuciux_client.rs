@@ -347,11 +347,12 @@ fn print_event(event: &Event) -> bool {
         Event::ServerStats {
             jobs_total,
             jobs_running,
+            jobs_evicted,
             engines,
             cache_entries,
         } => println!(
             "stats jobs_total={jobs_total} jobs_running={jobs_running} \
-             engines={engines} cache_entries={cache_entries}"
+             jobs_evicted={jobs_evicted} engines={engines} cache_entries={cache_entries}"
         ),
         Event::Error { message } => {
             eprintln!("server error: {message}");

@@ -1,7 +1,8 @@
 //! CI perf-smoke: a short fixed-budget `two_stage_search` plus a
 //! batch-evaluation microbench of the [`EvalEngine`], emitting a
 //! `BENCH_ci.json` artifact (wall time, evals/sec, cache hit rate, cache
-//! save/load persistence times and eviction counters) and
+//! save/load persistence times and eviction counters, learner-update
+//! throughput with its backward/clip/Adam split) and
 //! failing on a >30% regression against the checked-in baseline
 //! (`ci/bench_baseline.json`).
 //!
@@ -26,9 +27,12 @@ use confuciux::{
 };
 use confuciux_bench::{standard_spec, Args};
 use maestro::{BatchQueries, CostModel, CostReport, Dataflow, DesignPoint, LayerInvariants};
-use rl_core::{collect_vec_rollout, Env, PolicyBackboneKind, PolicyNet, PolicyScratch};
+use rl_core::{
+    collect_vec_rollout, Env, PolicyBackboneKind, PolicyNet, PolicyScratch, PolicyStep,
+    ReinforceConfig,
+};
 use serde::{Deserialize, Serialize};
-use tinynn::{LstmState, Rng, SeedableRng};
+use tinynn::{Adam, LstmState, Rng, SeedableRng};
 
 /// Allowed relative regression on every gated metric.
 const TOLERANCE: f64 = 0.30;
@@ -91,6 +95,15 @@ const KERNEL_MIN_SPEEDUP: f64 = 2.0;
 /// the gate; the relative term covers slower runner classes.
 const DEGRADED_OVERHEAD_MAX_MS: f64 = 5.0;
 const DEGRADED_OVERHEAD_MAX_FRACTION: f64 = 0.10;
+/// Learner-update microbench shape: MobileNet-V2 under Layer-Pipelined
+/// deployment, where an episode is one step per layer (52), the
+/// observation is 10 wide and the PE and buffer heads have 12 choices
+/// each, with the paper's LSTM-128 policy.
+const LEARNER_EPISODE_LEN: usize = 52;
+const LEARNER_OBS_DIM: usize = 10;
+const LEARNER_HEADS: [usize; 2] = [12, 12];
+/// Updates timed per repetition of the learner microbench.
+const LEARNER_UPDATES: usize = 40;
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BenchCi {
@@ -145,8 +158,70 @@ struct BenchCi {
     /// search. Gated near zero: graceful degradation must cost nothing
     /// when it doesn't fire.
     degraded_outcome_overhead_ms: f64,
+    /// REINFORCE learner updates per second (one BPTT backward over a
+    /// 52-step episode, clip and Adam step), at the MobileNet-V2 LP shape.
+    /// Recorded only: no floor gates it.
+    learner_updates_per_sec: f64,
+    /// Per-update time of `PolicyNet::backward_episode`, in µs.
+    learner_backward_us: f64,
+    /// Per-update time of the global-norm clip, in µs.
+    learner_clip_us: f64,
+    /// Per-update time of the Adam step plus clearing the gradients, in µs.
+    learner_adam_us: f64,
     /// Worker threads the parallel engine used.
     threads: usize,
+}
+
+/// Best-of-3 per-update times `(backward, clip, adam)` in µs of the
+/// REINFORCE learner on one recorded episode at the MobileNet-V2 LP shape,
+/// split the way `PolicyNet::apply_update` runs them.
+fn learner_update_us() -> (f64, f64, f64) {
+    let config = ReinforceConfig::default();
+    let mut rng = Rng::seed_from_u64(13);
+    let mut policy = PolicyNet::new(
+        LEARNER_OBS_DIM,
+        &LEARNER_HEADS,
+        PolicyBackboneKind::Rnn,
+        config.hidden,
+        &mut rng,
+    );
+    let mut opt = Adam::new(config.lr);
+    let mut state = policy.initial_state();
+    let steps: Vec<PolicyStep> = (0..LEARNER_EPISODE_LEN)
+        .map(|t| {
+            let obs: Vec<f32> = (0..LEARNER_OBS_DIM)
+                .map(|j| ((t * 13 + j * 7) % 29) as f32 / 29.0)
+                .collect();
+            policy.act(&obs, &mut state, &mut rng)
+        })
+        .collect();
+    let half = LEARNER_EPISODE_LEN as f32 / 2.0;
+    let coefs: Vec<f32> = (0..LEARNER_EPISODE_LEN)
+        .map(|t| (t as f32 - half) / half)
+        .collect();
+    let per_update = |d: Duration| d.as_secs_f64() * 1e6 / LEARNER_UPDATES as f64;
+    let mut best = (f64::MAX, f64::MAX, f64::MAX);
+    for _ in 0..3 {
+        let (mut backward, mut clip, mut adam) = (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        for _ in 0..LEARNER_UPDATES {
+            let t0 = Instant::now();
+            policy.backward_episode(&steps, &coefs, config.entropy_beta, None, None);
+            let t1 = Instant::now();
+            let mut params = policy.params_mut();
+            tinynn::clip_global_grad_norm(&mut params, config.max_grad_norm);
+            let t2 = Instant::now();
+            opt.step(&mut params);
+            policy.zero_grad();
+            let t3 = Instant::now();
+            backward += t1 - t0;
+            clip += t2 - t1;
+            adam += t3 - t2;
+        }
+        best.0 = best.0.min(per_update(backward));
+        best.1 = best.1.min(per_update(clip));
+        best.2 = best.2.min(per_update(adam));
+    }
+    best
 }
 
 /// Best-of-3 extra wall time of running the two-stage search the way the
@@ -376,6 +451,11 @@ fn main() {
     // --- Deadline-watchdog overhead: daemon loop vs. plain loop. ---
     let degraded_overhead = degraded_outcome_overhead_ms(&spec);
 
+    // --- Learner update: BPTT backward, clip, Adam (recorded only). ---
+    let (learner_backward_us, learner_clip_us, learner_adam_us) = learner_update_us();
+    let learner_updates_per_sec =
+        1e6 / (learner_backward_us + learner_clip_us + learner_adam_us).max(1e-9);
+
     let report = BenchCi {
         two_stage_wall_ms,
         two_stage_queries: stats.total(),
@@ -399,6 +479,10 @@ fn main() {
         policy_steps_per_sec_batch,
         policy_batch_speedup,
         degraded_outcome_overhead_ms: degraded_overhead,
+        learner_updates_per_sec,
+        learner_backward_us,
+        learner_clip_us,
+        learner_adam_us,
         threads,
     };
     let artifact = args.out.join("BENCH_ci.json");

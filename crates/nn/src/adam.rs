@@ -39,21 +39,30 @@ impl Adam {
     /// Applies one Adam update to every parameter, consuming the
     /// accumulated gradients (gradients are *not* cleared — call
     /// `zero_grad` on the layers before the next accumulation).
+    ///
+    /// One zipped pass per parameter over `(w, g, m, v)`, with the
+    /// per-update constants hoisted; the per-element expression is the
+    /// textbook one, evaluated in the same order for every element.
     pub fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let (one_minus_beta1, one_minus_beta2) = (1.0 - beta1, 1.0 - beta2);
         for p in params.iter_mut() {
-            let n = p.w.data().len();
-            for i in 0..n {
-                let g = p.g.data()[i];
-                let m = self.beta1 * p.m.data()[i] + (1.0 - self.beta1) * g;
-                let v = self.beta2 * p.v.data()[i] + (1.0 - self.beta2) * g * g;
-                p.m.data_mut()[i] = m;
-                p.v.data_mut()[i] = v;
-                let m_hat = m / bc1;
-                let v_hat = v / bc2;
-                p.w.data_mut()[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            let Param { w, g, m, v } = &mut **p;
+            let n = w.data().len();
+            assert!(
+                g.data().len() == n && m.data().len() == n && v.data().len() == n,
+                "parameter buffers disagree in size"
+            );
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((w, &g), (m, v)) in w.data_mut().iter_mut().zip(g.data()).zip(moments) {
+                *m = beta1 * *m + one_minus_beta1 * g;
+                *v = beta2 * *v + one_minus_beta2 * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *w -= lr * m_hat / (v_hat.sqrt() + eps);
             }
         }
     }

@@ -14,6 +14,12 @@ pub struct Matrix {
 const MR: usize = 4;
 /// Register tile width shared by the GEMM kernels below.
 const NR: usize = 8;
+/// Columns of one row that [`gemm_nn_impl`]'s leftover-row path keeps in
+/// registers across its whole k loop: eight AVX accumulators, enough
+/// independent add chains to hide the add latency. The 1-row product the
+/// LSTM backward runs once per step (`Matrix::vecmat_into`) goes through
+/// this path.
+const VW: usize = 64;
 
 // --- SIMD multiversioning -------------------------------------------------
 //
@@ -138,23 +144,42 @@ fn gemm_nn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut
             }
         }
     }
-    // Leftover rows (< MR), including the 1-row serial case: the classic
-    // row-at-a-time axpy loop.
+    // Leftover rows (< MR), including the 1-row serial case: one row at a
+    // time, `VW` columns held in registers across the whole k loop, then
+    // the column tail in axpy order.
     for i in panels..ar {
-        for k in 0..ac {
-            let av = a[i * ac + k];
-            let brow = &b[k * bc..(k + 1) * bc];
-            let orow = &mut out[i * bc..(i + 1) * bc];
-            for (o, bv) in orow.iter_mut().zip(brow) {
-                *o += av * bv;
+        let arow = &a[i * ac..(i + 1) * ac];
+        let orow = &mut out[i * bc..(i + 1) * bc];
+        let mut j0 = 0;
+        while j0 + VW <= bc {
+            let mut acc: [f32; VW] = orow[j0..j0 + VW].try_into().expect("VW wide");
+            for (k, &av) in arow.iter().enumerate() {
+                let brow: &[f32; VW] = b[k * bc + j0..k * bc + j0 + VW]
+                    .try_into()
+                    .expect("VW wide");
+                for j in 0..VW {
+                    acc[j] += av * brow[j];
+                }
+            }
+            orow[j0..j0 + VW].copy_from_slice(&acc);
+            j0 += VW;
+        }
+        if j0 < bc {
+            for (k, &av) in arow.iter().enumerate() {
+                let brow = &b[k * bc + j0..(k + 1) * bc];
+                for (o, bv) in orow[j0..].iter_mut().zip(brow) {
+                    *o += av * bv;
+                }
             }
         }
     }
 }
 
-/// `out = aᵀ · b` where `a` is `ar×ac`, `b` is `ar×bc`, `out` is `ac×bc`
-/// pre-zeroed. Same tiling and same ascending-r per-element accumulation
-/// contract as [`gemm_nn_impl`].
+/// `out += aᵀ · b` where `a` is `ar×ac`, `b` is `ar×bc`, `out` is `ac×bc`.
+/// Every element starts from its current `out` value and adds its `ar`
+/// terms in ascending `r`, so a pre-zeroed `out` gives the plain product
+/// and a gradient accumulator gets the terms added one by one, in row
+/// order. Same tiling as [`gemm_nn_impl`].
 #[inline(always)]
 fn gemm_tn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut [f32]) {
     let mut i0 = 0;
@@ -162,6 +187,9 @@ fn gemm_tn_impl(a: &[f32], ar: usize, ac: usize, b: &[f32], bc: usize, out: &mut
         let mut j0 = 0;
         while j0 + NR <= bc {
             let mut acc = [[0.0f32; NR]; MR];
+            for (ri, accr) in acc.iter_mut().enumerate() {
+                accr.copy_from_slice(&out[(i0 + ri) * bc + j0..(i0 + ri) * bc + j0 + NR]);
+            }
             for r in 0..ar {
                 let arow = &a[r * ac + i0..r * ac + i0 + MR];
                 let brow = &b[r * bc + j0..r * bc + j0 + NR];
@@ -467,6 +495,39 @@ impl Matrix {
         out
     }
 
+    /// `self += aᵀ · b` in place, without a temporary: each element adds
+    /// the `a.rows()` terms `a[r][i] · b[r][j]` in ascending `r`. With `a`
+    /// and `b` holding a sequence's rows in reverse time order, that is the
+    /// order in which per-step `add_scaled(&a_t.matmul_tn(&b_t), 1.0)`
+    /// calls walking backward in time would have added them.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a shape mismatch.
+    pub fn add_matmul_tn(&mut self, a: &Matrix, b: &Matrix) {
+        assert_eq!(a.rows, b.rows, "add_matmul_tn outer dims");
+        assert_eq!(self.shape(), (a.cols, b.cols), "add_matmul_tn output shape");
+        gemm_tn(&a.data, a.rows, a.cols, &b.data, b.cols, &mut self.data);
+    }
+
+    /// `out = x · self` for one row `x` (`1×rows` times `rows×cols`). Each
+    /// element adds its terms in ascending `k` onto a `-0.0` seed, which is
+    /// the fold `Iterator::sum` runs. So for `wt = w.transpose()`,
+    /// `wt.vecmat_into(x, out)` equals the 1-row `x.matmul_nt(&w)` bit for
+    /// bit, signed zeros included. It runs as `cols` independent chains in
+    /// axpy order, where the 1-row `matmul_nt` runs one dependent dot
+    /// product per output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x.len() != rows` or `out.len() != cols`.
+    pub fn vecmat_into(&self, x: &[f32], out: &mut [f32]) {
+        assert_eq!(x.len(), self.rows, "vecmat inner dims");
+        assert_eq!(out.len(), self.cols, "vecmat output width");
+        out.fill(-0.0);
+        gemm_nn(x, 1, self.rows, &self.data, self.cols, out);
+    }
+
     /// `self · otherᵀ` without materializing the transpose. Same non-finite
     /// contract as [`Matrix::matmul`].
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
@@ -485,10 +546,19 @@ impl Matrix {
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.data[j * self.rows + i] = self.data[i * self.cols + j];
+        const TILE: usize = 16;
+        let (rows, cols) = (self.rows, self.cols);
+        let mut out = Matrix::zeros(cols, rows);
+        for i0 in (0..rows).step_by(TILE) {
+            let i1 = (i0 + TILE).min(rows);
+            for j0 in (0..cols).step_by(TILE) {
+                let j1 = (j0 + TILE).min(cols);
+                for i in i0..i1 {
+                    let src = &self.data[i * cols + j0..i * cols + j1];
+                    for (j, &v) in (j0..j1).zip(src) {
+                        out.data[j * rows + i] = v;
+                    }
+                }
             }
         }
         out
@@ -718,7 +788,8 @@ mod tests {
     #[test]
     fn tiled_kernels_match_naive_reference_to_the_bit() {
         let mut rng = crate::Rng::seed_from_u64(7);
-        // Shapes chosen to exercise full tiles, column tails, and row tails.
+        // Shapes chosen to exercise full tiles, column tails, and row tails
+        // (the last two put leftover rows through whole register blocks).
         for &(m, k, n) in &[
             (1usize, 5usize, 3usize),
             (4, 8, 8),
@@ -726,6 +797,8 @@ mod tests {
             (7, 13, 17),
             (12, 32, 24),
             (64, 10, 12),
+            (1, 9, 130),
+            (7, 17, 70),
         ] {
             let a = Matrix::xavier(m, k, &mut rng);
             let b = Matrix::xavier(k, n, &mut rng);

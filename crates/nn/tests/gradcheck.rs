@@ -184,7 +184,7 @@ fn lstm_cell_gradients_match_finite_differences() {
 
     cell.zero_grad();
     let (_, cache) = cell.forward(&x, &state);
-    let (dx, dh_prev, dc_prev) = cell.backward(&x, &cache, &th, &tc);
+    let (dx, dh_prev, dc_prev) = cell.backward(&x, &state.h, &cache, &th, &tc);
 
     // Parameter gradients (wx, wh, b), via the data_mut on the public fields.
     macro_rules! check_param {
@@ -276,8 +276,8 @@ fn lstm_bptt_over_two_steps_matches_finite_differences() {
     let (s1, cache1) = cell.forward(&x1, &s0);
     let (_s2, cache2) = cell.forward(&x2, &s1);
     let zero_dc = Matrix::zeros(batch, hidden);
-    let (_dx2, dh1, dc1) = cell.backward(&x2, &cache2, &th, &zero_dc);
-    let (_dx1, _dh0, _dc0) = cell.backward(&x1, &cache1, &dh1, &dc1);
+    let (_dx2, dh1, dc1) = cell.backward(&x2, &s1.h, &cache2, &th, &zero_dc);
+    let (_dx1, _dh0, _dc0) = cell.backward(&x1, &s0.h, &cache1, &dh1, &dc1);
 
     let analytic = cell.wx.g.clone();
     for k in 0..analytic.data().len() {

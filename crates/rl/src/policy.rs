@@ -369,19 +369,19 @@ impl PolicyNet {
         // Backbone backward (BPTT for the RNN, one stacked GEMM for MLP).
         match &mut self.backbone {
             Backbone::Rnn(cell) => {
-                let mut dh = Matrix::zeros(1, self.hidden);
-                let mut dc = Matrix::zeros(1, self.hidden);
-                for (t, step) in steps.iter().enumerate().rev() {
-                    let cache = step
-                        .lstm_cache
-                        .as_ref()
-                        .expect("RNN policy steps carry an LSTM cache");
-                    let dfeat = Matrix::row_from_slice(dfeat_total.row(t));
-                    let dh_total = dh.add(&dfeat);
-                    let (_dx, dh_prev, dc_prev) = cell.backward(&step.obs, cache, &dh_total, &dc);
-                    dh = dh_prev;
-                    dc = dc_prev;
-                }
+                // Every episode starts from `initial_state()`, and each
+                // step's features are its LSTM output, so `feats` row
+                // `t - 1` is the hidden state step `t` ran from.
+                let xs: Vec<&[f32]> = steps.iter().map(|s| s.obs.row(0)).collect();
+                let caches: Vec<&LstmCache> = steps
+                    .iter()
+                    .map(|s| {
+                        s.lstm_cache
+                            .as_ref()
+                            .expect("RNN policy steps carry an LSTM cache")
+                    })
+                    .collect();
+                cell.backward_sequence(&xs, &feats, &caches, &dfeat_total);
             }
             Backbone::Mlp(l1) => {
                 // tanh derivative through the cached activated features.
@@ -418,12 +418,19 @@ impl PolicyNet {
         params
     }
 
-    /// Applies one clipped Adam update and clears gradients.
-    pub fn apply_update(&mut self, opt: &mut Adam, max_grad_norm: f32) {
+    /// Applies one clipped Adam update and clears gradients. Returns
+    /// `false`, and leaves the weights, the Adam moments and its step count
+    /// untouched, when the global gradient norm is NaN or infinite: one
+    /// such update would poison every weight for good. The gradients are
+    /// cleared either way, so whatever the clip did to them is moot.
+    pub fn apply_update(&mut self, opt: &mut Adam, max_grad_norm: f32) -> bool {
         let mut params = self.params_mut();
-        tinynn::clip_global_grad_norm(&mut params, max_grad_norm);
-        opt.step(&mut params);
+        let finite = tinynn::clip_global_grad_norm(&mut params, max_grad_norm).is_finite();
+        if finite {
+            opt.step(&mut params);
+        }
         self.zero_grad();
+        finite
     }
 
     /// Total scalar parameter count (Table V's memory-overhead column).
@@ -541,6 +548,48 @@ mod tests {
         let probs = &policy.act_greedy(&obs, &mut s).probs[0];
         let ent = categorical_entropy(probs);
         assert!(ent > 0.95 * 4.0f32.ln(), "entropy {ent} not near uniform");
+    }
+
+    /// A NaN gradient must not reach the weights: `apply_update` skips the
+    /// Adam step, clears the gradients and reports `false`, and greedy
+    /// acting still works afterwards.
+    #[test]
+    fn non_finite_gradient_skips_the_update() {
+        let mut rng = rng();
+        let mut policy = PolicyNet::new(3, &[4, 5], PolicyBackboneKind::Rnn, 8, &mut rng);
+        let mut opt = Adam::new(1e-2);
+        let obs = [0.2, -0.4, 0.6];
+        let episode = |policy: &PolicyNet, rng: &mut Rng| -> Vec<PolicyStep> {
+            let mut s = policy.initial_state();
+            (0..3).map(|_| policy.act(&obs, &mut s, rng)).collect()
+        };
+        // One good update first, so the Adam moments are non-zero.
+        let steps = episode(&policy, &mut rng);
+        policy.backward_episode(&steps, &[1.0, -0.5, 0.25], 0.01, None, None);
+        assert!(policy.apply_update(&mut opt, 5.0));
+
+        let bits = |policy: &mut PolicyNet| -> Vec<u32> {
+            policy
+                .params_mut()
+                .iter()
+                .flat_map(|p| [&p.w, &p.m, &p.v])
+                .flat_map(|m| m.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                .collect()
+        };
+        let before = bits(&mut policy);
+        let steps = episode(&policy, &mut rng);
+        policy.backward_episode(&steps, &[1.0, -0.5, 0.25], 0.01, None, None);
+        policy.heads[1].w.g.set(2, 3, f32::NAN);
+        assert!(!policy.apply_update(&mut opt, 5.0));
+        assert_eq!(bits(&mut policy), before, "weights or moments moved");
+        assert_eq!(opt.steps(), 1);
+        assert!(policy
+            .params_mut()
+            .iter()
+            .all(|p| p.g.data().iter().all(|v| *v == 0.0)));
+        let mut s = policy.initial_state();
+        let greedy = policy.act_greedy(&obs, &mut s);
+        assert!(greedy.probs.iter().flatten().all(|p| p.is_finite()));
     }
 
     #[test]

@@ -159,10 +159,13 @@ pub enum Event {
     },
     /// Answer to [`Request::Jobs`].
     JobList { jobs: Vec<JobSummary> },
-    /// Answer to [`Request::Stats`].
+    /// Answer to [`Request::Stats`]. `jobs_total` counts every job ever
+    /// submitted; `jobs_evicted` how many finished jobs the daemon has
+    /// since forgotten (see `registry::RETAINED_DONE_JOBS`).
     ServerStats {
         jobs_total: u64,
         jobs_running: u64,
+        jobs_evicted: u64,
         engines: u64,
         cache_entries: u64,
     },

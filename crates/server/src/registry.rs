@@ -21,6 +21,13 @@ use crate::protocol::{Event, JobSummary};
 /// evicted simply replays what remains.
 pub const EVENT_RING_CAP: usize = 4096;
 
+/// Finished ([`JobStatus::Done`]) jobs kept for `Attach` and `Jobs`. Older
+/// ones are forgotten, oldest first, so a long-running daemon's memory
+/// stays bounded; `Attach`/`Resume` on a forgotten id answer "unknown job".
+/// Failed, cancelled and degraded jobs are never forgotten: they can still
+/// be resumed.
+pub const RETAINED_DONE_JOBS: usize = 256;
+
 /// Lifecycle of a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
@@ -101,6 +108,10 @@ pub struct Registry {
     /// One shared evaluation engine per model family, keyed by the
     /// model's canonical name — the daemon's cross-job memo cache.
     engines: Mutex<HashMap<String, Arc<EvalEngine>>>,
+    /// Ids of finished jobs, oldest first; see [`RETAINED_DONE_JOBS`].
+    done: Mutex<VecDeque<u64>>,
+    /// Finished jobs forgotten so far.
+    evicted: AtomicU64,
 }
 
 impl Registry {
@@ -133,6 +144,27 @@ impl Registry {
                 true
             }
             None => false,
+        }
+    }
+
+    /// Records that job `id` reached [`JobStatus::Done`], and forgets the
+    /// oldest finished jobs beyond [`RETAINED_DONE_JOBS`]: their state,
+    /// events and cancel flag. Call it after releasing the job's lock.
+    pub fn retire_done(&self, id: u64) {
+        let mut done = lock_recovering(&self.done);
+        done.push_back(id);
+        while done.len() > RETAINED_DONE_JOBS {
+            let Some(old) = done.pop_front() else { break };
+            let mut jobs = lock_recovering(&self.jobs);
+            let finished = jobs
+                .get(&old)
+                .is_some_and(|job| lock_recovering(job).status == JobStatus::Done);
+            if finished {
+                jobs.remove(&old);
+                drop(jobs);
+                lock_recovering(&self.cancels).remove(&old);
+                self.evicted.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 
@@ -256,10 +288,11 @@ impl Registry {
             .count()
     }
 
-    /// `(total jobs, running jobs, engines, cache entries)`.
-    pub fn stats(&self) -> (u64, u64, u64, u64) {
+    /// `(jobs ever submitted, running jobs, finished jobs forgotten,
+    /// engines, cache entries)`.
+    pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
+        let total = self.next_job.load(Ordering::Relaxed);
         let jobs = lock_recovering(&self.jobs);
-        let total = jobs.len() as u64;
         let running = jobs
             .values()
             .filter(|j| lock_recovering(j).status == JobStatus::Running)
@@ -267,7 +300,8 @@ impl Registry {
         drop(jobs);
         let engines = self.engines_snapshot();
         let entries: u64 = engines.iter().map(|(_, e)| e.cache_len() as u64).sum();
-        (total, running, engines.len() as u64, entries)
+        let evicted = self.evicted.load(Ordering::Relaxed);
+        (total, running, evicted, engines.len() as u64, entries)
     }
 }
 
@@ -353,6 +387,40 @@ mod tests {
         reg.publish(id, |seq| Event::Started { job: id, seq });
         let n = reg.with_job(id, |s| s.subscribers.len()).unwrap();
         assert_eq!(n, 0);
+    }
+
+    #[test]
+    fn oldest_done_jobs_are_forgotten_beyond_the_cap() {
+        let reg = Registry::new();
+        let kept_unfinished = [JobStatus::Failed, JobStatus::Cancelled, JobStatus::Degraded];
+        let total = RETAINED_DONE_JOBS + 10;
+        for id in 1..=total as u64 {
+            assert_eq!(reg.insert(spec()), id);
+            let status = kept_unfinished
+                .get(id as usize - 1)
+                .copied()
+                .unwrap_or(JobStatus::Done);
+            reg.with_job(id, |s| s.status = status).unwrap();
+            if status == JobStatus::Done {
+                reg.retire_done(id);
+            }
+        }
+        // 3 unfinished jobs, then RETAINED_DONE_JOBS + 7 finished ones:
+        // the 7 oldest finished jobs (ids 4..=10) are forgotten.
+        for id in 1..=3 {
+            assert!(reg.job(id).is_some(), "unfinished job {id} was evicted");
+            assert!(reg.cancel_flag(id).is_some());
+        }
+        for id in 4..=10 {
+            assert!(reg.job(id).is_none(), "job {id} was kept");
+            assert!(!reg.cancel(id), "job {id} kept its cancel flag");
+        }
+        for id in 11..=total as u64 {
+            assert!(reg.job(id).is_some(), "job {id} was evicted too early");
+        }
+        assert_eq!(reg.summaries().len(), total - 7);
+        let (jobs_total, _, jobs_evicted, _, _) = reg.stats();
+        assert_eq!((jobs_total, jobs_evicted), (total as u64, 7));
     }
 
     #[test]

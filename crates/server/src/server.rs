@@ -364,6 +364,9 @@ fn settle(
         state.outcome = Some(outcome.clone());
         state.checkpoint = checkpoint;
     });
+    if status == JobStatus::Done {
+        inner.registry.retire_done(id);
+    }
 }
 
 /// Renders a caught panic payload for a `Failed{diagnostic}` event.
@@ -670,10 +673,12 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
             });
         }
         Request::Stats => {
-            let (jobs_total, jobs_running, engines, cache_entries) = inner.registry.stats();
+            let (jobs_total, jobs_running, jobs_evicted, engines, cache_entries) =
+                inner.registry.stats();
             let _ = tx.send(Event::ServerStats {
                 jobs_total,
                 jobs_running,
+                jobs_evicted,
                 engines,
                 cache_entries,
             });
@@ -690,6 +695,7 @@ fn handle_request(inner: &Arc<Inner>, tx: &mpsc::Sender<Event>, request: Request
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::RETAINED_DONE_JOBS;
     use confuciux::JobBudget;
 
     fn spec(global_epochs: usize, seed: u64) -> JobSpec {
@@ -731,6 +737,63 @@ mod tests {
             .registry
             .with_job(id, |state| state.checkpoint.is_some())
             .unwrap()
+    }
+
+    #[test]
+    fn forgotten_done_jobs_are_unknown_to_attach_and_resume() {
+        let server = Server::new(ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        });
+        let inner = &server.inner;
+        let outcome = SearchOutcome {
+            algorithm: "test".to_string(),
+            best: None,
+            best_cost_bits: None,
+            epochs: 0,
+            evaluations: 0,
+            trace_fnv: 0,
+            eval_stats: maestro::EvalStats::default(),
+            wall_nanos: 0,
+            degraded: None,
+        };
+        // Registered without queueing, then settled as a worker would.
+        for _ in 0..=RETAINED_DONE_JOBS {
+            let id = inner.registry.insert(spec(30, 3));
+            settle(inner, id, JobStatus::Done, &outcome, None);
+        }
+        assert!(inner.registry.job(1).is_none());
+        assert!(inner.registry.job(2).is_some());
+
+        let (tx, rx) = mpsc::channel();
+        for request in [
+            Request::Attach {
+                job: 1,
+                from_seq: 0,
+            },
+            Request::Resume { job: 1 },
+        ] {
+            assert!(!handle_request(inner, &tx, request));
+            let reply: Vec<Event> = rx.try_iter().collect();
+            assert_eq!(
+                reply,
+                vec![Event::Error {
+                    message: "unknown job 1".to_string()
+                }]
+            );
+        }
+        handle_request(inner, &tx, Request::Stats);
+        let Ok(Event::ServerStats {
+            jobs_total,
+            jobs_evicted,
+            ..
+        }) = rx.try_recv()
+        else {
+            panic!("no stats reply");
+        };
+        assert_eq!(jobs_total, RETAINED_DONE_JOBS as u64 + 1);
+        assert_eq!(jobs_evicted, 1);
+        server.finish();
     }
 
     #[test]

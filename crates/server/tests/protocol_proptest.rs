@@ -181,10 +181,11 @@ fn arb_event() -> impl Strategy<Value = Event> {
             0..4,
         )
         .prop_map(|jobs| Event::JobList { jobs }),
-        (arb_u64(), arb_u64(), arb_u64(), arb_u64()).prop_map(
-            |(jobs_total, jobs_running, engines, cache_entries)| Event::ServerStats {
+        (arb_u64(), arb_u64(), arb_u64(), arb_u64(), arb_u64()).prop_map(
+            |(jobs_total, jobs_running, jobs_evicted, engines, cache_entries)| Event::ServerStats {
                 jobs_total,
                 jobs_running,
+                jobs_evicted,
                 engines,
                 cache_entries,
             }
